@@ -2,11 +2,17 @@ GO ?= go
 
 .PHONY: check race bench bench-obs bench-wire bench-shard bench-pace bench-serve bench-journey bench-flight fuzz experiments
 
-# Tier-1 gate: everything must pass before a change lands.
+# Tier-1 gate: everything must pass before a change lands. The -cpu leg
+# reruns the packages whose results or tests depend on goroutine
+# scheduling (the sharded engine's parallel barrier, the worker pools)
+# under several GOMAXPROCS values, so a host-dependent test or a
+# schedule-dependent result shows up on every change, not only on
+# machines with an unusual core count.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 -count=3 ./internal/core ./internal/sim ./internal/pool
 	$(GO) test -race ./internal/pool ./internal/sim ./internal/netsim ./internal/wire ./internal/cluster ./internal/obs ./internal/serve ./internal/flight ./cmd/lbnode
 
 # Race-detector pass over the concurrent packages and the core they drive.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"testing"
+
 	"lmbalance/internal/rng"
 	"lmbalance/internal/topology"
 )
@@ -289,5 +292,69 @@ func (s *denseSystem) classBalance(owner, extra int) {
 		s.bTot[owner] -= own
 		s.b[owner*s.n+cls] = 0
 		s.metrics.DecreaseSim++
+	}
+}
+
+// snakeCursor is the reference implementation's copy of the original
+// callback-driven snake distribution (the production code splits into
+// matrix rows through snake.split); distribute hands each participant's
+// count to assign(p, cnt).
+type snakeCursor struct {
+	m      int
+	offset int
+}
+
+// newSnakeCursor returns a cursor over m participants starting at extra
+// position start (start is reduced modulo m). m must be >= 1.
+func newSnakeCursor(m, start int) *snakeCursor {
+	if m < 1 {
+		panic("core: snakeCursor with m < 1")
+	}
+	return &snakeCursor{m: m, offset: ((start % m) + m) % m}
+}
+
+// distribute splits total over the m participants, calling assign(p, cnt)
+// with each participant's new count. total must be >= 0.
+func (s *snakeCursor) distribute(total int, assign func(p, cnt int)) {
+	if total < 0 {
+		panic("core: snake distribute with negative total")
+	}
+	base := total / s.m
+	rem := total % s.m
+	for p := 0; p < s.m; p++ {
+		cnt := base
+		// Participant p gets an extra iff p lies within the circular run
+		// [offset, offset+rem).
+		if rem > 0 {
+			rel := p - s.offset
+			if rel < 0 {
+				rel += s.m
+			}
+			if rel < rem {
+				cnt++
+			}
+		}
+		assign(p, cnt)
+	}
+	s.offset = (s.offset + rem) % s.m
+}
+
+// BenchmarkDenseBalanceOp is the root package's BenchmarkBalanceOp run on
+// the dense reference, so both representations can be timed on the same
+// machine (results/BENCH_sparse.json). n=4096 is left out: the dense
+// matrices alone take 268 MB there.
+func BenchmarkDenseBalanceOp(b *testing.B) {
+	for _, n := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := newDenseSystem(n, Params{F: 1.1, Delta: 1, C: 4}, topology.NewGlobal(n), rng.New(1))
+			for i := 0; i < n*8; i++ {
+				s.Generate(i % n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.balance(i % n)
+			}
+		})
 	}
 }

@@ -88,9 +88,10 @@
 // # Representation
 //
 // d[i][j] and b[i][j] above are the paper's notation, not the storage
-// layout: System keeps, per processor, only the classes with a nonzero
-// d or b (sparse.go), since a processor's active classes are bounded by
-// its load plus outstanding markers — not by n. Memory is O(nnz + n) and
+// layout: System keeps one record per processor (sparse.go) holding its
+// own class inline and, of the foreign classes, only those with a nonzero
+// d or b, since a processor's active classes are bounded by its load plus
+// outstanding markers — not by n. Memory is O(nnz + n) and
 // a balancing operation touches only the participants' active classes.
 // Every randomized choice iterates classes in ascending order, so the
 // behaviour (including the consumed RNG stream) is exactly that of the

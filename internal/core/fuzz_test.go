@@ -129,8 +129,8 @@ func checkSparseAccessors(t *testing.T, s *System) {
 	}
 }
 
-// FuzzSnakeDistribute checks the balanced-remainder distribution on
-// arbitrary class sequences: conservation, non-negativity, per-class ±1,
+// FuzzSnakeDistribute checks the snake split on arbitrary class
+// sequences: conservation, non-negativity, per-class ±1,
 // per-participant grand totals ±1.
 func FuzzSnakeDistribute(f *testing.F) {
 	f.Add([]byte{3, 1, 10, 20, 0, 7})
@@ -141,50 +141,12 @@ func FuzzSnakeDistribute(f *testing.F) {
 		}
 		m := 1 + int(data[0])%9
 		start := int(data[1])
-		cur := newSnakeCursor(m, start)
-		perProc := make([]int, m)
+		totals := make([]int, 0, len(data)-2)
 		for _, b := range data[2:] {
-			total := int(b)
-			sum := 0
-			assigned := make([]int, m)
-			cur.distribute(total, func(p, cnt int) {
-				if cnt < 0 {
-					t.Fatalf("negative assignment %d", cnt)
-				}
-				assigned[p] = cnt
-				sum += cnt
-			})
-			if sum != total {
-				t.Fatalf("conservation: distributed %d of %d", sum, total)
-			}
-			lo, hi := assigned[0], assigned[0]
-			for _, v := range assigned {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-				_ = v
-			}
-			if hi-lo > 1 {
-				t.Fatalf("per-class spread %d", hi-lo)
-			}
-			for p := range perProc {
-				perProc[p] += assigned[p]
-			}
+			totals = append(totals, int(b))
 		}
-		lo, hi := perProc[0], perProc[0]
-		for _, v := range perProc {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if hi-lo > 1 {
-			t.Fatalf("grand-total spread %d", hi-lo)
+		if msg := checkSnakeSequence(m, start, totals); msg != "" {
+			t.Fatalf("m=%d start=%d totals=%v: %s", m, start, totals, msg)
 		}
 	})
 }

@@ -7,26 +7,18 @@ import (
 )
 
 // Lane is one shard's view of a System: the contiguous processor range
-// [lo, hi) with structure-of-arrays sub-slice views of the hot per-
-// processor state (l, bTot, lOld, localT) indexed by shard-local offset.
+// [lo, hi), a view over records[lo:hi] indexed by shard-local offset.
 // Lanes over disjoint ranges may be driven concurrently: a Lane's Generate
-// and Consume touch only processor lo+li's row and the lane's own scratch
-// and metrics, and instead of recursing into balancing or settlement they
+// and Consume touch only processor lo+li's record and the lane's own
+// metrics, and instead of recursing into balancing or settlement they
 // report trigger/settle conditions for the caller to defer into its
 // mailbox. The sharded engine resolves those deferred operations at a
 // deterministic tick barrier through the batched entry points in batch.go.
 type Lane struct {
-	sys    *System
-	lo, hi int
-
-	// Sub-slice views of the System's SoA state, indexed by local offset.
-	l      []int
-	bTot   []int
-	lOld   []int
-	localT []int
-
-	classBuf []int
-	metrics  Metrics
+	sys     *System
+	lo      int
+	records []record // sys.records[lo:hi]
+	metrics Metrics
 }
 
 // NewLane returns the lane over processors [lo, hi).
@@ -34,29 +26,17 @@ func (s *System) NewLane(lo, hi int) *Lane {
 	if lo < 0 || hi > s.n || lo >= hi {
 		panic(fmt.Sprintf("core: invalid lane range [%d, %d) for n=%d", lo, hi, s.n))
 	}
-	return &Lane{
-		sys:    s,
-		lo:     lo,
-		hi:     hi,
-		l:      s.l[lo:hi:hi],
-		bTot:   s.bTot[lo:hi:hi],
-		lOld:   s.lOld[lo:hi:hi],
-		localT: s.localT[lo:hi:hi],
-	}
+	return &Lane{sys: s, lo: lo, records: s.records[lo:hi:hi]}
 }
 
 // Len returns the number of processors in the lane.
-func (ln *Lane) Len() int { return ln.hi - ln.lo }
+func (ln *Lane) Len() int { return len(ln.records) }
 
 // Global translates a shard-local offset to the global processor index.
 func (ln *Lane) Global(li int) int { return ln.lo + li }
 
 // Load returns the physical load of local processor li.
-func (ln *Lane) Load(li int) int { return ln.l[li] }
-
-// Loads returns the lane's load sub-slice (live view; callers must not
-// mutate it). The sharded engine folds it into its per-shard LoadPartial.
-func (ln *Lane) Loads() []int { return ln.l }
+func (ln *Lane) Load(li int) int { return ln.records[li].l }
 
 // Metrics returns the lane's accumulated counters. The engine folds them
 // into the System with AbsorbMetrics once the lane goes quiet (end of run,
@@ -76,18 +56,10 @@ func (ln *Lane) TakeMetrics() Metrics {
 // except that instead of firing a balancing operation it reports whether
 // the factor-f trigger condition now holds, for the caller to defer.
 func (ln *Lane) Generate(li int, r *rng.RNG) (trigger bool) {
-	s := ln.sys
-	row := &s.rows[ln.lo+li]
-	if ln.bTot[li] > 0 {
-		j := ln.randClass(row, func(e *classEntry) bool { return e.b > 0 }, r)
-		row.add(j, +1, -1)
-		ln.bTot[li]--
-	} else {
-		row.own().d++
-	}
-	ln.l[li]++
+	rec := &ln.records[li]
+	rec.generate(ln.lo+li, r)
 	ln.metrics.Generated++
-	return trigFired(row.own().d, ln.lOld[li], s.params.F)
+	return trigFired(rec.d, rec.lOld, ln.sys.params.F)
 }
 
 // Consume removes one packet from local processor li if it can do so
@@ -99,36 +71,22 @@ func (ln *Lane) Generate(li int, r *rng.RNG) (trigger bool) {
 // where System.SettleConsume completes it with the full sequential path.
 // trigger reports the factor-f condition after a self-packet consume.
 func (ln *Lane) Consume(li int, r *rng.RNG) (consumed, trigger, needSettle bool) {
-	s := ln.sys
-	if ln.l[li] == 0 {
+	rec := &ln.records[li]
+	switch {
+	case rec.l == 0:
 		ln.metrics.ConsumeNoLoad++
 		return false, false, false
-	}
-	row := &s.rows[ln.lo+li]
-	if row.own().d > 0 {
-		row.own().d--
-		ln.l[li]--
+	case rec.d > 0:
+		rec.d--
+		rec.l--
 		ln.metrics.Consumed++
-		return true, trigFired(row.own().d, ln.lOld[li], s.params.F), false
-	}
-	if ln.bTot[li] < s.params.C {
-		j := ln.randClass(row, func(e *classEntry) bool { return e.d > 0 && e.b == 0 }, r)
-		if j >= 0 {
-			row.add(j, -1, +1)
-			ln.bTot[li]++
-			ln.l[li]--
-			ln.metrics.TotalBorrow++
-			ln.metrics.Consumed++
-			return true, false, false
-		}
+		return true, trigFired(rec.d, rec.lOld, ln.sys.params.F), false
+	case rec.borrow(ln.lo+li, ln.sys.params.C, r):
+		ln.metrics.TotalBorrow++
+		ln.metrics.Consumed++
+		return true, false, false
 	}
 	// Settlement required: defer without mutating (the metrics for the
 	// completed consume are counted by SettleConsume at the barrier).
 	return false, false, true
-}
-
-func (ln *Lane) randClass(row *sparseRow, pred func(e *classEntry) bool, r *rng.RNG) int {
-	pick, buf := randClassRow(row, pred, r, ln.classBuf)
-	ln.classBuf = buf
-	return pick
 }

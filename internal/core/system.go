@@ -18,10 +18,11 @@ import (
 // (shared-memory worker pool) and internal/netsim (message-passing
 // network).
 //
-// Per-class state is stored sparsely: processor i keeps a compact row of
-// the classes it actually holds (see sparse.go) instead of dense length-n
-// d/b vectors. Memory is O(total nonzero + n) rather than O(n²), and a
-// balancing operation touches only the union of classes its δ+1
+// Per-class state is stored sparsely: processor i keeps one record (see
+// sparse.go) with its scalar state, its own class inline and a compact
+// sorted tail of the foreign classes it actually holds, instead of dense
+// length-n d/b vectors. Memory is O(total nonzero + n) rather than O(n²),
+// and a balancing operation touches only the union of classes its δ+1
 // participants hold rather than scanning all n classes. The sparse system
 // consumes the RNG stream exactly like the dense formulation, so results
 // are bit-identical to the original dense implementation (enforced by
@@ -39,11 +40,7 @@ type System struct {
 	sel    topology.Selector
 	rng    *rng.RNG
 
-	rows   []sparseRow // rows[i]: nonzero (d, b) class counts of processor i
-	l      []int       // physical load, l[i] == Σ_j d[i][j]
-	bTot   []int       // Σ_j b[i][j]
-	lOld   []int       // d[i][i] at processor i's last balancing operation
-	localT []int       // balancing operations processor i participated in
+	records []record // records[i]: all state of processor i (sparse.go)
 
 	metrics Metrics
 
@@ -56,36 +53,25 @@ type System struct {
 // sequential API uses the System's embedded Scratch; the sharded engine
 // gives every resolution worker its own so operations over disjoint
 // participant sets can execute concurrently without sharing any mutable
-// state beyond the participants themselves.
+// state beyond the participants themselves. Its size depends on δ and on
+// the participants' active classes, never on n.
 type Scratch struct {
 	candBuf    []int
 	setBuf     []int
-	oldL       []int
-	newL       []int
-	newBTot    []int
-	classBuf   []int // qualifying classes collected by randClassRow
-	unionBuf   []int // active-class union of a participant set
-	mergeCur   []int // per-participant tail cursors of the union merge
-	mergeSelf  []int // per-participant pending self classes of the merge
-	mark       []int // per-class stamp marks backing CheckInvariants
-	stamp      int
-	classIdx   []int // class -> position in the current union
-	dMat, bMat []int // union×participants gather matrices for redistribute
+	mergeTail  [][]classEntry // per-participant unmerged tail remainder
+	mergeOwn   []int          // per-participant pending own class of the merge
+	unionBuf   []int          // active-class union of a participant set
+	dMat, bMat []int          // union×participants count matrices
 }
 
-// newScratch builds a Scratch for n processors and balancing sets of at
-// most m participants.
-func newScratch(n, m int) *Scratch {
+// newScratch builds a Scratch for balancing sets of at most m
+// participants.
+func newScratch(m int) *Scratch {
 	return &Scratch{
 		candBuf:   make([]int, 0, m),
 		setBuf:    make([]int, 0, m),
-		oldL:      make([]int, m),
-		newL:      make([]int, m),
-		newBTot:   make([]int, m),
-		mergeCur:  make([]int, m),
-		mergeSelf: make([]int, m),
-		mark:      make([]int, n),
-		classIdx:  make([]int, n),
+		mergeTail: make([][]classEntry, m),
+		mergeOwn:  make([]int, m),
 	}
 }
 
@@ -94,7 +80,7 @@ func newScratch(n, m int) *Scratch {
 // worker; a Scratch must not be shared between concurrently executing
 // operations).
 func (s *System) NewScratch() *Scratch {
-	return newScratch(s.n, s.params.Delta+2)
+	return newScratch(s.params.Delta + 2)
 }
 
 // NewSystem creates a balanced-empty system of n processors. The selector
@@ -113,27 +99,15 @@ func NewSystem(n int, p Params, sel topology.Selector, r *rng.RNG) (*System, err
 	if sel.N() != n {
 		return nil, fmt.Errorf("core: selector built for %d processors, system has %d", sel.N(), n)
 	}
-	m := p.Delta + 2 // balancing set is at most δ+1, class recovery adds one
-	// One backing array serves every row's pinned self entry; a row that
-	// outgrows its one-entry slice reallocates independently on append.
-	backing := make([]classEntry, n)
-	rows := make([]sparseRow, n)
-	for i := range rows {
-		backing[i] = classEntry{cls: i}
-		rows[i] = sparseRow{self: i, entries: backing[i : i+1 : i+1]}
+	s := &System{
+		n:       n,
+		params:  p,
+		sel:     sel,
+		rng:     r,
+		records: make([]record, n),
 	}
-	return &System{
-		n:      n,
-		params: p,
-		sel:    sel,
-		rng:    r,
-		rows:   rows,
-		l:      make([]int, n),
-		bTot:   make([]int, n),
-		lOld:   make([]int, n),
-		localT: make([]int, n),
-		sc:     newScratch(n, m),
-	}, nil
+	s.sc = s.NewScratch()
+	return s, nil
 }
 
 // Name identifies the algorithm in experiment output.
@@ -148,31 +122,37 @@ func (s *System) N() int { return s.n }
 func (s *System) Params() Params { return s.params }
 
 // Load returns the physical load of processor i.
-func (s *System) Load(i int) int { return s.l[i] }
+func (s *System) Load(i int) int { return s.records[i].l }
 
 // Loads appends the physical loads of all processors to dst and returns it.
-func (s *System) Loads(dst []int) []int { return append(dst[:0], s.l...) }
+func (s *System) Loads(dst []int) []int {
+	dst = dst[:0]
+	for i := range s.records {
+		dst = append(dst, s.records[i].l)
+	}
+	return dst
+}
 
 // VirtualLoad returns l[i] + Σ_j b[i][j] — the load the analysis sees
 // (Theorem 4 works on virtual loads; physical load is at most C below it).
-func (s *System) VirtualLoad(i int) int { return s.l[i] + s.bTot[i] }
+func (s *System) VirtualLoad(i int) int { return s.records[i].l + s.records[i].bTot }
 
 // TotalLoad returns the number of packets in the system.
 func (s *System) TotalLoad() int {
 	sum := 0
-	for _, v := range s.l {
-		sum += v
+	for i := range s.records {
+		sum += s.records[i].l
 	}
 	return sum
 }
 
 // LocalTime returns the number of balancing operations processor i has
 // participated in — the paper's local clock t'.
-func (s *System) LocalTime(i int) int { return s.localT[i] }
+func (s *System) LocalTime(i int) int { return s.records[i].localT }
 
 // TriggerBase returns l_old for processor i: its self-generated load at its
 // last balancing operation, against which the factor-f trigger compares.
-func (s *System) TriggerBase(i int) int { return s.lOld[i] }
+func (s *System) TriggerBase(i int) int { return s.records[i].lOld }
 
 // Metrics returns a snapshot of the activity counters.
 func (s *System) Metrics() Metrics { return s.metrics }
@@ -184,24 +164,30 @@ func (s *System) AbsorbMetrics(m Metrics) { s.metrics.Add(m) }
 
 // D returns d[i][j] (real packets of class j on i); for tests and
 // experiment introspection.
-func (s *System) D(i, j int) int { return s.rows[i].getD(j) }
+func (s *System) D(i, j int) int {
+	d, _ := s.records[i].counts(i, j)
+	return d
+}
 
 // B returns b[i][j] (borrow markers of class j on i).
-func (s *System) B(i, j int) int { return s.rows[i].getB(j) }
+func (s *System) B(i, j int) int {
+	_, b := s.records[i].counts(i, j)
+	return b
+}
 
 // Borrowed returns the number of outstanding borrow markers of processor i.
-func (s *System) Borrowed(i int) int { return s.bTot[i] }
+func (s *System) Borrowed(i int) int { return s.records[i].bTot }
 
 // ActiveClasses returns the number of classes processor i currently holds
 // (d or b nonzero) — the per-row cost driver of a balancing operation.
-func (s *System) ActiveClasses(i int) int { return s.rows[i].active() }
+func (s *System) ActiveClasses(i int) int { return s.records[i].active() }
 
 // NNZ returns the total number of nonzero per-class cells across all
 // processors — the memory footprint driver of the sparse representation.
 func (s *System) NNZ() int {
 	total := 0
-	for i := range s.rows {
-		total += s.rows[i].active()
+	for i := range s.records {
+		total += s.records[i].active()
 	}
 	return total
 }
@@ -215,19 +201,10 @@ func (s *System) ForceBalance(i int) { s.balance(i, s.rng, s.sc, &s.metrics) }
 // borrow markers, the new packet repays a debt instead (appendix: the
 // marker's class receives the packet), leaving virtual loads unchanged.
 // May trigger a balancing operation.
-func (s *System) Generate(i int) { s.generate(i, s.rng, s.sc, &s.metrics) }
-
-func (s *System) generate(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	if s.bTot[i] > 0 {
-		j := s.randClass(i, func(e *classEntry) bool { return e.b > 0 }, r, sc)
-		s.rows[i].add(j, +1, -1)
-		s.bTot[i]--
-	} else {
-		s.rows[i].own().d++
-	}
-	s.l[i]++
-	m.Generated++
-	s.maybeBalance(i, r, sc, m)
+func (s *System) Generate(i int) {
+	s.records[i].generate(i, s.rng)
+	s.metrics.Generated++
+	s.maybeBalance(i, s.rng, s.sc, &s.metrics)
 }
 
 // Consume removes one packet from processor i, borrowing from a foreign
@@ -237,47 +214,32 @@ func (s *System) generate(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
 func (s *System) Consume(i int) bool { return s.consume(i, s.rng, s.sc, &s.metrics) }
 
 func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
-	if s.l[i] == 0 {
-		m.ConsumeNoLoad++
-		return false
-	}
-	row := &s.rows[i]
-	if row.own().d > 0 {
-		row.own().d--
-		s.l[i]--
-		m.Consumed++
-		s.maybeBalance(i, r, sc, m)
-		return true
-	}
-	// d[i][i] == 0 but l > 0: borrow. Each settlement clears at least one
+	rec := &s.records[i]
+	// Consume a self packet if there is one, else borrow; failing both,
+	// settle a marker and retry. Each settlement clears at least one
 	// marker, so the loop terminates within C+2 rounds.
 	for attempt := 0; attempt <= s.params.C+2; attempt++ {
-		if s.l[i] == 0 {
-			// Settlement rebalancing may have migrated all load away.
-			m.ConsumeNoLoad++
-			return false
+		if rec.l == 0 {
+			// Nothing to consume, possibly because settlement
+			// rebalancing migrated all load away.
+			break
 		}
-		if row.own().d > 0 {
-			// Settlement rebalancing gave i self packets back.
-			row.own().d--
-			s.l[i]--
+		if rec.d > 0 {
+			// A self packet, possibly one settlement rebalancing gave
+			// back.
+			rec.d--
+			rec.l--
 			m.Consumed++
 			s.maybeBalance(i, r, sc, m)
 			return true
 		}
-		if s.bTot[i] < s.params.C {
-			j := s.randClass(i, func(e *classEntry) bool { return e.d > 0 && e.b == 0 }, r, sc)
-			if j >= 0 {
-				row.add(j, -1, +1)
-				s.bTot[i]++
-				s.l[i]--
-				m.TotalBorrow++
-				m.Consumed++
-				return true
-			}
+		if rec.borrow(i, s.params.C, r) {
+			m.TotalBorrow++
+			m.Consumed++
+			return true
 		}
 		// No borrow slot: settle a random outstanding marker first.
-		j := s.randClass(i, func(e *classEntry) bool { return e.b > 0 }, r, sc)
+		j := rec.randClass(i, hasMarker, r)
 		if j < 0 {
 			// No markers and no borrowable class would mean l == 0;
 			// unreachable, but fail safe rather than loop.
@@ -287,51 +249,6 @@ func (s *System) consume(i int, r *rng.RNG, sc *Scratch, m *Metrics) bool {
 	}
 	m.ConsumeNoLoad++
 	return false
-}
-
-// randClass picks a uniformly random class for processor i among the
-// active classes whose entry satisfies pred, via reservoir sampling over
-// the qualifying classes in ascending order. Scanning in ascending class
-// order keeps the RNG consumption identical to a dense 0..n-1 scan (zero
-// cells never qualify under any of the algorithm's predicates). It returns
-// -1 if no class qualifies.
-func (s *System) randClass(i int, pred func(e *classEntry) bool, r *rng.RNG, sc *Scratch) int {
-	pick, buf := randClassRow(&s.rows[i], pred, r, sc.classBuf)
-	sc.classBuf = buf
-	return pick
-}
-
-// randClassRow is randClass over an explicit row and caller-owned buffer,
-// shared between the sequential path and the per-shard Lane path (which
-// must not touch the System's scratch). The sorted-tail row invariant
-// yields the qualifying classes in ascending order directly — the self
-// entry, pinned out of place at index 0, is slotted into position on the
-// fly — so no per-call sort is needed. It returns the pick and the
-// (possibly regrown) buffer.
-func randClassRow(row *sparseRow, pred func(e *classEntry) bool, r *rng.RNG, buf []int) (int, []int) {
-	buf = buf[:0]
-	selfCls := row.entries[0].cls
-	selfDone := !pred(&row.entries[0])
-	for k := 1; k < len(row.entries); k++ {
-		e := &row.entries[k]
-		if !selfDone && e.cls > selfCls {
-			buf = append(buf, selfCls)
-			selfDone = true
-		}
-		if pred(e) {
-			buf = append(buf, e.cls)
-		}
-	}
-	if !selfDone {
-		buf = append(buf, selfCls)
-	}
-	pick := -1
-	for k, cls := range buf {
-		if r.Intn(k+1) == 0 {
-			pick = cls
-		}
-	}
-	return pick, buf
 }
 
 // trigFired reports the factor-f condition on a self-load d against the
@@ -350,14 +267,14 @@ func trigFired(d, old int, f float64) bool {
 // initiation at the tick barrier: an earlier operation in the same barrier
 // may have included i as a partner and reset its trigger base.
 func (s *System) TriggerPending(i int) bool {
-	return trigFired(s.rows[i].own().d, s.lOld[i], s.params.F)
+	return trigFired(s.records[i].d, s.records[i].lOld, s.params.F)
 }
 
 // maybeBalance fires a balancing operation if processor i's self-generated
 // load has changed by at least the factor f since its last balancing
 // operation.
 func (s *System) maybeBalance(i int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	if trigFired(s.rows[i].own().d, s.lOld[i], s.params.F) {
+	if s.TriggerPending(i) {
 		s.balance(i, r, sc, m)
 	}
 }
@@ -383,149 +300,110 @@ func (s *System) balanceSet(init int, partners []int, r *rng.RNG, sc *Scratch, m
 	m.BalanceOps++
 	s.redistribute(set, r, sc, m)
 	for _, p := range set {
+		rec := &s.records[p]
 		if !s.params.InitiatorOnlyReset || p == init {
-			s.lOld[p] = s.rows[p].own().d
+			rec.lOld = rec.d
 		}
-		s.localT[p]++
-	}
-	for _, p := range set {
-		if own := s.rows[p].own().b; own > 0 {
+		rec.localT++
+		if rec.b > 0 {
 			// The owner consumes its own phantoms: simulated decrease.
-			s.bTot[p] -= own
-			s.rows[p].own().b = 0
+			rec.bTot -= rec.b
+			rec.b = 0
 			m.DecreaseSim++
 		}
 	}
 }
 
-// activeUnion collects the ascending union of classes held (d or b
-// nonzero) by any processor in set and records each class's union position
-// in sc.classIdx. The sorted-tail row invariant turns this into an np-way
-// merge — one cursor per participant tail, plus each participant's pinned
-// self entry slotted in by value — costing O(union × np) comparisons where
-// the former collect-and-sort paid O(union log union); with rows hundreds
-// of classes wide under load-accumulating workloads, that sort dominated
-// whole-simulation profiles.
-func (s *System) activeUnion(set []int, sc *Scratch) []int {
-	const maxInt = int(^uint(0) >> 1)
+// gather collects the ascending union of classes held (d or b nonzero) by
+// any processor in set and fills the union×np count matrices: row ci of
+// dMat and bMat holds every participant's counts of classes[ci]. The
+// sorted-tail invariant turns this into an np-way merge — one cursor per
+// participant tail, plus each participant's own class slotted in by value
+// — costing O(union × np) comparisons where a collect-and-sort would pay
+// O(union log union); with rows hundreds of classes wide under
+// load-accumulating workloads, that sort dominated whole-simulation
+// profiles.
+func (s *System) gather(set []int, sc *Scratch) (classes, dMat, bMat []int) {
+	const none = int(^uint(0) >> 1)
 	np := len(set)
-	cur := sc.mergeCur[:np]
-	selfs := sc.mergeSelf[:np]
+	tails := sc.mergeTail[:np]
+	own := sc.mergeOwn[:np]
+	bound := 0 // the union has at most Σ active classes
 	for k, p := range set {
-		cur[k] = 1
-		e := &s.rows[p].entries[0]
-		if e.d != 0 || e.b != 0 {
-			selfs[k] = e.cls
-		} else {
-			selfs[k] = maxInt // pinned empty self entry: not active
+		rec := &s.records[p]
+		tails[k] = rec.tail
+		own[k] = none
+		if rec.d != 0 || rec.b != 0 {
+			own[k] = p
 		}
+		bound += len(rec.tail) + 1
 	}
-	buf := sc.unionBuf[:0]
+	if cap(sc.dMat) < bound*np {
+		sc.dMat = make([]int, bound*np)
+		sc.bMat = make([]int, bound*np)
+	}
+	classes, dMat, bMat = sc.unionBuf[:0], sc.dMat[:bound*np], sc.bMat[:bound*np]
+	row := 0
 	for {
-		best := maxInt
-		for k, p := range set {
-			if ents := s.rows[p].entries; cur[k] < len(ents) && ents[cur[k]].cls < best {
-				best = ents[cur[k]].cls
+		best := none
+		for k, t := range tails {
+			if len(t) > 0 && int(t[0].cls) < best {
+				best = int(t[0].cls)
 			}
-			if selfs[k] < best {
-				best = selfs[k]
+			if own[k] < best {
+				best = own[k]
 			}
 		}
-		if best == maxInt {
+		if best == none {
 			break
 		}
-		for k, p := range set {
-			if ents := s.rows[p].entries; cur[k] < len(ents) && ents[cur[k]].cls == best {
-				cur[k]++
+		classes = append(classes, best)
+		for k, t := range tails {
+			d, b := 0, 0
+			if len(t) > 0 && int(t[0].cls) == best {
+				d, b = int(t[0].d), int(t[0].b)
+				tails[k] = t[1:]
+			} else if own[k] == best {
+				d, b = s.records[best].d, s.records[best].b
+				own[k] = none
 			}
-			if selfs[k] == best {
-				selfs[k] = maxInt
-			}
+			dMat[row+k], bMat[row+k] = d, b
 		}
-		sc.classIdx[best] = len(buf)
-		buf = append(buf, best)
+		row += np
 	}
-	sc.unionBuf = buf
-	return buf
+	clear(tails) // hold no references to the records' tails
+	sc.unionBuf = classes
+	return classes, dMat[:row], bMat[:row]
 }
 
 // redistribute snake-distributes the d classes followed by the b classes
 // of the participant set, maintaining l and bTot and counting migrations.
 // Only the union of the participants' active classes is visited; all other
 // classes have zero totals, for which the dense formulation would not
-// advance the snake cursor either, so the result is identical. The
-// participants' counts are gathered into union×m scratch matrices and the
-// rows rebuilt wholesale afterwards, keeping the hot loop free of row
-// searches.
+// advance the snake either, so the result is identical. The snake splits
+// each class in place in its matrix row, and the records are rebuilt
+// wholesale afterwards, keeping the hot loop free of row searches.
 func (s *System) redistribute(set []int, r *rng.RNG, sc *Scratch, m *Metrics) {
 	np := len(set)
-	oldL := sc.oldL[:np]
-	newL := sc.newL[:np]
-	newBTot := sc.newBTot[:np]
-	for k, p := range set {
-		oldL[k] = s.l[p]
-		newL[k] = 0
-		newBTot[k] = 0
-	}
-	classes := s.activeUnion(set, sc)
-	u := len(classes)
-	need := u * np
-	if cap(sc.dMat) < need {
-		sc.dMat = make([]int, need)
-		sc.bMat = make([]int, need)
-	}
-	dMat := sc.dMat[:need]
-	bMat := sc.bMat[:need]
-	for i := range dMat {
-		dMat[i] = 0
-		bMat[i] = 0
-	}
-	for k, p := range set {
-		entries := s.rows[p].entries
-		for e := range entries {
-			ent := &entries[e]
-			if ent.d == 0 && ent.b == 0 {
-				continue
+	classes, dMat, bMat := s.gather(set, sc)
+	sn := newSnake(np, r.Intn(np))
+	for _, mat := range [2][]int{dMat, bMat} {
+		for ci := range classes {
+			row := mat[ci*np : ci*np+np]
+			total := 0
+			for _, v := range row {
+				total += v
 			}
-			ci := sc.classIdx[ent.cls]
-			dMat[ci*np+k] = ent.d
-			bMat[ci*np+k] = ent.b
+			if total > 0 { // a zero total would split into the zeros already there
+				sn.split(total, row)
+			}
 		}
-	}
-	cur := newSnakeCursor(np, r.Intn(np))
-	for ci := 0; ci < u; ci++ {
-		row := dMat[ci*np : ci*np+np]
-		total := 0
-		for _, v := range row {
-			total += v
-		}
-		if total == 0 {
-			continue // cursor need not advance for empty classes
-		}
-		cur.distribute(total, func(k, cnt int) {
-			row[k] = cnt
-			newL[k] += cnt
-		})
-	}
-	for ci := 0; ci < u; ci++ {
-		row := bMat[ci*np : ci*np+np]
-		total := 0
-		for _, v := range row {
-			total += v
-		}
-		if total == 0 {
-			continue
-		}
-		cur.distribute(total, func(k, cnt int) {
-			row[k] = cnt
-			newBTot[k] += cnt
-		})
 	}
 	for k, p := range set {
-		s.rows[p].rebuild(classes, dMat, bMat, k, np)
-		s.l[p] = newL[k]
-		s.bTot[p] = newBTot[k]
-		if recv := newL[k] - oldL[k]; recv > 0 {
+		rec := &s.records[p]
+		oldL := rec.l
+		rec.rebuild(p, classes, dMat, bMat, k, np)
+		if recv := rec.l - oldL; recv > 0 {
 			m.Migrations += int64(recv)
 		}
 	}
@@ -534,52 +412,45 @@ func (s *System) redistribute(set []int, r *rng.RNG, sc *Scratch, m *Metrics) {
 // CheckInvariants verifies the structural invariants documented in doc.go —
 // non-negative counts, l[i] == Σ_j d[i][j], bTot[i] == Σ_j b[i][j], exact
 // packet conservation (TotalLoad == Generated − Consumed) — plus the
-// sparse bookkeeping: every row's self entry is pinned at index 0, no
-// foreign entry is empty, the tail is sorted ascending by class, and no
-// class appears in a row twice. It is O(total nonzero + n) and intended
-// for tests.
+// sparse bookkeeping: every foreign tail is sorted strictly ascending (so
+// no class appears twice), holds no empty entry and no entry of the
+// processor's own class. It is O(total nonzero + n) and intended for
+// tests.
 func (s *System) CheckInvariants() error {
-	sc := s.sc
 	var totalLoad int64
-	for i := 0; i < s.n; i++ {
-		row := &s.rows[i]
-		if len(row.entries) == 0 || row.entries[0].cls != i || row.self != i {
-			return fmt.Errorf("core: row %d: self entry not pinned at index 0", i)
+	for i := range s.records {
+		rec := &s.records[i]
+		if rec.d < 0 || rec.b < 0 {
+			return fmt.Errorf("core: own class of %d: d = %d, b = %d, need >= 0", i, rec.d, rec.b)
 		}
-		sc.stamp++
-		sumD, sumB := 0, 0
-		for k := range row.entries {
-			e := &row.entries[k]
-			if e.cls < 0 || e.cls >= s.n {
+		sumD, sumB := rec.d, rec.b
+		for k := range rec.tail {
+			e := &rec.tail[k]
+			switch {
+			case e.cls < 0 || int(e.cls) >= s.n:
 				return fmt.Errorf("core: row %d: class %d out of range", i, e.cls)
-			}
-			if e.d < 0 {
+			case int(e.cls) == i:
+				return fmt.Errorf("core: row %d: own class stored in the foreign tail", i)
+			case e.d < 0:
 				return fmt.Errorf("core: d[%d][%d] = %d < 0", i, e.cls, e.d)
-			}
-			if e.b < 0 {
+			case e.b < 0:
 				return fmt.Errorf("core: b[%d][%d] = %d < 0", i, e.cls, e.b)
-			}
-			if sc.mark[e.cls] == sc.stamp {
-				return fmt.Errorf("core: row %d: class %d appears twice", i, e.cls)
-			}
-			sc.mark[e.cls] = sc.stamp
-			if k > 0 && e.d == 0 && e.b == 0 {
+			case e.d == 0 && e.b == 0:
 				return fmt.Errorf("core: row %d: empty entry for class %d not compacted", i, e.cls)
-			}
-			if k > 1 && e.cls <= row.entries[k-1].cls {
+			case k > 0 && e.cls <= rec.tail[k-1].cls:
 				return fmt.Errorf("core: row %d: tail not sorted at index %d (%d after %d)",
-					i, k, e.cls, row.entries[k-1].cls)
+					i, k, e.cls, rec.tail[k-1].cls)
 			}
-			sumD += e.d
-			sumB += e.b
+			sumD += int(e.d)
+			sumB += int(e.b)
 		}
-		if s.l[i] != sumD {
-			return fmt.Errorf("core: l[%d] = %d but Σd = %d", i, s.l[i], sumD)
+		if rec.l != sumD {
+			return fmt.Errorf("core: l[%d] = %d but Σd = %d", i, rec.l, sumD)
 		}
-		if s.bTot[i] != sumB {
-			return fmt.Errorf("core: bTot[%d] = %d but Σb = %d", i, s.bTot[i], sumB)
+		if rec.bTot != sumB {
+			return fmt.Errorf("core: bTot[%d] = %d but Σb = %d", i, rec.bTot, sumB)
 		}
-		totalLoad += int64(s.l[i])
+		totalLoad += int64(rec.l)
 	}
 	if want := s.metrics.Generated - s.metrics.Consumed; totalLoad != want {
 		return fmt.Errorf("core: total load %d but generated−consumed = %d", totalLoad, want)
@@ -590,15 +461,15 @@ func (s *System) CheckInvariants() error {
 // settle resolves one outstanding borrow marker b[i][j] (see doc.go for
 // the three cases).
 func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
+	rec, owner := &s.records[i], &s.records[j]
 	if j == i {
 		// The owner clears its own phantoms: simulated decrease.
-		own := s.rows[i].own()
-		s.bTot[i] -= own.b
-		own.b = 0
+		rec.bTot -= rec.b
+		rec.b = 0
 		m.DecreaseSim++
 		return
 	}
-	if s.rows[j].own().d > 0 {
+	if owner.d > 0 {
 		s.exchange(i, j, r, sc, m)
 		return
 	}
@@ -607,12 +478,12 @@ func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
 	// i — then settle if it produced packets at j.
 	m.BorrowFail++
 	s.classBalance(j, i, r, sc, m)
-	if s.rows[i].getB(j) == 0 {
+	if _, b := rec.counts(i, j); b == 0 {
 		// The marker migrated away (another participant now carries the
 		// debt); i is free to borrow again.
 		return
 	}
-	if s.rows[j].own().d > 0 {
+	if owner.d > 0 {
 		s.exchange(i, j, r, sc, m)
 		return
 	}
@@ -620,8 +491,8 @@ func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
 	// marker with a simulated decrease accounted to class j. Unreachable
 	// under the paper's assumptions; kept for progress under adversarial
 	// schedules.
-	s.rows[i].add(j, 0, -1)
-	s.bTot[i]--
+	rec.add(i, j, 0, -1)
+	rec.bTot--
 	m.ForcedSettle++
 	m.DecreaseSim++
 }
@@ -631,11 +502,12 @@ func (s *System) settle(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
 // j treats the loss as a simulated workload decrease (which may trigger a
 // balancing operation on j).
 func (s *System) exchange(i, j int, r *rng.RNG, sc *Scratch, m *Metrics) {
-	s.rows[j].own().d--
-	s.l[j]--
-	s.rows[i].add(j, +1, -1)
-	s.l[i]++
-	s.bTot[i]--
+	owner, rec := &s.records[j], &s.records[i]
+	owner.d--
+	owner.l--
+	rec.add(i, j, +1, -1)
+	rec.l++
+	rec.bTot--
 	m.RemoteBorrow++
 	m.DecreaseSim++
 	s.maybeBalance(j, r, sc, m)
@@ -662,31 +534,34 @@ func (s *System) classBalance(owner, extra int, r *rng.RNG, sc *Scratch, m *Metr
 	set := sc.setBuf
 	np := len(set)
 
+	// Row 0 of the count matrices holds the participants' old counts,
+	// row 1 the split.
+	sc.dMat = append(sc.dMat[:0], make([]int, 2*np)...)
+	sc.bMat = append(sc.bMat[:0], make([]int, 2*np)...)
+	oldD, newD := sc.dMat[:np], sc.dMat[np:]
+	oldB, newB := sc.bMat[:np], sc.bMat[np:]
 	totalD, totalB := 0, 0
-	for _, p := range set {
-		totalD += s.rows[p].getD(cls)
-		totalB += s.rows[p].getB(cls)
+	for k, p := range set {
+		oldD[k], oldB[k] = s.records[p].counts(p, cls)
+		totalD += oldD[k]
+		totalB += oldB[k]
 	}
-	cur := newSnakeCursor(np, r.Intn(np))
-	cur.distribute(totalD, func(k, cnt int) {
-		p := set[k]
-		delta := cnt - s.rows[p].getD(cls)
-		s.rows[p].setD(cls, cnt)
-		s.l[p] += delta
-		if delta > 0 {
-			m.Migrations += int64(delta)
+	sn := newSnake(np, r.Intn(np))
+	sn.split(totalD, newD)
+	sn.split(totalB, newB)
+	for k, p := range set {
+		rec := &s.records[p]
+		rec.set(p, cls, newD[k], newB[k])
+		rec.l += newD[k] - oldD[k]
+		rec.bTot += newB[k] - oldB[k]
+		if recv := newD[k] - oldD[k]; recv > 0 {
+			m.Migrations += int64(recv)
 		}
-	})
-	cur.distribute(totalB, func(k, cnt int) {
-		p := set[k]
-		delta := cnt - s.rows[p].getB(cls)
-		s.rows[p].setB(cls, cnt)
-		s.bTot[p] += delta
-	})
+	}
 	// Markers of the class that landed on the owner are consumed there.
-	if own := s.rows[owner].own().b; own > 0 {
-		s.bTot[owner] -= own
-		s.rows[owner].own().b = 0
+	if rec := &s.records[owner]; rec.b > 0 {
+		rec.bTot -= rec.b
+		rec.b = 0
 		m.DecreaseSim++
 	}
 }

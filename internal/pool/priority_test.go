@@ -110,7 +110,9 @@ func TestPriorityBalanceDealsQualityEvenly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	// Stop the workers: the queues below are filled and balanced by hand,
+	// and a live worker could pop an injected task that no Submit counted.
+	p.Close()
 	w0, w1 := p.workers[0], p.workers[1]
 	// Load worker 0 with 3 good and 3 bad tasks directly (locked path),
 	// bypassing triggers by not using Submit.
@@ -141,13 +143,6 @@ func TestPriorityBalanceDealsQualityEvenly(t *testing.T) {
 	if !((best0 == 1 && best1 == 2) || (best0 == 2 && best1 == 1)) {
 		t.Fatalf("quality not dealt evenly: bests %d/%d", best0, best1)
 	}
-	// Drain the manually injected tasks so Close has a clean pool.
-	w0.mu.Lock()
-	w0.queue = w0.queue[:0]
-	w0.mu.Unlock()
-	w1.mu.Lock()
-	w1.queue = w1.queue[:0]
-	w1.mu.Unlock()
 }
 
 func TestPriorityRecursiveSpread(t *testing.T) {
@@ -160,7 +155,9 @@ func TestPriorityRecursiveSpread(t *testing.T) {
 	var spawn func(depth int, prio int64) PriorityTask
 	spawn = func(depth int, prio int64) PriorityTask {
 		return PriorityTask{Priority: prio, Run: func(w *PriorityWorker) {
-			busyWork(150)
+			// Long enough for idle workers to wake and take part; see
+			// TestBalancingSpreadsWork.
+			busyWork(50000)
 			runtime.Gosched() // single-CPU interleaving; see pool_test.go
 			counter.Add(1)
 			if depth > 0 {

@@ -57,9 +57,11 @@ func (p Partition) Stream(kind StreamKind, index uint64) *RNG {
 	return New(p.Seed(kind, index))
 }
 
-// OpStream returns the private stream of one deferred balancing operation:
-// operation rank k at tick t. The two coordinates are hashed separately so
-// (t, k) pairs cannot alias across ticks with different operation counts.
-func (p Partition) OpStream(tick, k uint64) *RNG {
-	return New(Mix64(p.Seed(StreamOp, tick), k))
+// OpSeed returns the seed of one deferred balancing operation's private
+// stream: operation rank k at tick t. The two coordinates are hashed
+// separately so (t, k) pairs cannot alias across ticks with different
+// operation counts. The sharded engine reseeds a per-operation value RNG
+// with it (RNG.Reseed) rather than allocating one per operation.
+func (p Partition) OpSeed(tick, k uint64) uint64 {
+	return Mix64(p.Seed(StreamOp, tick), k)
 }

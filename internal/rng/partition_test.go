@@ -11,7 +11,7 @@ func TestPartitionKeyedNotOrdered(t *testing.T) {
 	// Derive a pile of unrelated streams in between.
 	for i := uint64(0); i < 10; i++ {
 		_ = p.Stream(StreamStep, i).Uint64()
-		_ = p.OpStream(i, i).Uint64()
+		_ = New(p.OpSeed(i, i)).Uint64()
 	}
 	a2 := p.Stream(StreamOrder, 3).Uint64()
 	if a1 != a2 {
@@ -56,13 +56,13 @@ func TestPartitionMastersDiverge(t *testing.T) {
 // tick t' even when tick and rank values swap.
 func TestOpStreamNoCrossTickAliasing(t *testing.T) {
 	p := NewPartition(9)
-	a := p.OpStream(3, 5).Uint64()
-	b := p.OpStream(5, 3).Uint64()
+	a := New(p.OpSeed(3, 5)).Uint64()
+	b := New(p.OpSeed(5, 3)).Uint64()
 	if a == b {
-		t.Fatal("OpStream(3,5) aliases OpStream(5,3)")
+		t.Fatal("OpSeed(3,5) aliases OpSeed(5,3)")
 	}
-	if p.OpStream(3, 5).Uint64() != a {
-		t.Fatal("OpStream not deterministic")
+	if New(p.OpSeed(3, 5)).Uint64() != a {
+		t.Fatal("OpSeed not deterministic")
 	}
 }
 

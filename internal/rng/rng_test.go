@@ -29,6 +29,24 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesNew: a reseeded value RNG, whatever stream it was on
+// before, continues exactly like a fresh New over the same seed.
+func TestReseedMatchesNew(t *testing.T) {
+	var r RNG
+	r.Reseed(11)
+	_ = r.Uint64()
+	r.Reseed(77)
+	fresh := New(77)
+	for i := 0; i < 100; i++ {
+		if a, b := r.Uint64(), fresh.Uint64(); a != b {
+			t.Fatalf("draw %d: reseeded %d, New %d", i, a, b)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Reseed(5) }); allocs != 0 {
+		t.Fatalf("Reseed allocates %.0f times", allocs)
+	}
+}
+
 func TestDistinctSeedsDiverge(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

@@ -15,12 +15,15 @@
 //  2. Trigger barrier (deterministic). Mailboxes are drained in canonical
 //     order — shard-major, shard-local index ascending, never arrival or
 //     scheduling order. Each deferred initiation k gets a private RNG
-//     stream keyed (Seed, run, tick, k), from which its δ partners are
-//     pre-drawn; a greedy list schedule then groups the operations into
-//     waves with pairwise-disjoint participant sets. Waves execute in
-//     sequence, the operations inside a wave in parallel on any number of
-//     workers. Because a balancing operation reads and writes only its
-//     δ+1 participants plus caller-owned scratch, and any two conflicting
+//     stream keyed (Seed, run, tick, k). A parallel plan pass draws every
+//     operation's δ partners from its stream exactly once and keeps both
+//     the partners and the stream, positioned after the draws, for
+//     execution. The only serial step, a greedy list schedule, then
+//     groups the operations into waves with pairwise-disjoint participant
+//     sets. Waves execute in sequence, the operations inside a wave in
+//     parallel on any number of workers. Because a balancing operation
+//     reads and writes only its δ+1 participants plus caller-owned
+//     scratch, and any two conflicting
 //     operations land in distinct waves in canonical order, wave execution
 //     is state-identical to executing all operations serially in canonical
 //     order. Each operation re-checks its factor-f trigger at execution
@@ -50,7 +53,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,19 +89,22 @@ type shardedEngine struct {
 	delta   int
 
 	// Barrier planning state, reused across ticks.
-	ops       []int   // global initiator of op k, canonical order
-	planBuf   []int   // partner scratch for the serial planning pass
-	opWave    []int32 // wave assigned to op k
-	opOrder   []int   // op indices bucketed by wave
-	waveStart []int   // opOrder[waveStart[w-1]:waveStart[w]] is wave w
-	waveFill  []int
-	lastWave  []int32 // per-processor last wave stamp (reset via touched)
-	touched   []int
+	ops        []int     // global initiator of op k, canonical order
+	opRNG      []rng.RNG // op k's private stream, positioned after its partner draws
+	opPartners [][]int   // op k's partners, views into partnerBuf
+	partnerBuf []int     // δ slots per op
+	opWave     []int32   // wave assigned to op k
+	opOrder    []int     // op indices bucketed by wave
+	waveStart  []int     // opOrder[waveStart[w-1]:waveStart[w]] is wave w
+	waveFill   []int
+	lastWave   []int32 // per-processor last wave stamp (reset via touched)
+	touched    []int
+
+	settleRNG rng.RNG // the tick's settlement stream
 
 	// Per-worker execution state.
-	scratches  []*core.Scratch
-	workerMet  []core.Metrics
-	partnerBuf [][]int
+	scratches []*core.Scratch
+	workerMet []core.Metrics
 
 	// Statistics state.
 	partials  []stats.LoadPartial
@@ -233,46 +239,50 @@ func newShardedEngine(cfg Config, sys *core.System, pattern workload.Pattern, pa
 	}
 	for w := 0; w < workers; w++ {
 		e.scratches = append(e.scratches, sys.NewScratch())
-		e.partnerBuf = append(e.partnerBuf, make([]int, 0, e.delta))
 	}
 	e.workerMet = make([]core.Metrics, workers)
 	return e
 }
 
 // parallelFor runs fn(worker, i) for i in [0, n) across the engine's
-// workers, pulling items from a shared atomic counter, and returns when
-// all items are done. With one worker (or one item) it runs inline. The
-// item→worker assignment is schedule-dependent; callers must ensure items
-// are independent and per-worker state folds commutatively.
+// workers and returns when all items are done. Workers claim contiguous
+// chunks of about n/(8·workers) items from a shared atomic counter: one
+// atomic add per chunk instead of per item, while eight chunks per worker
+// still even out items of uneven cost. The calling goroutine is worker 0;
+// with one worker (or one item) everything runs inline. The item→worker
+// assignment is schedule-dependent; callers must ensure items are
+// independent and per-worker state folds commutatively.
 func (e *shardedEngine) parallelFor(n int, fn func(worker, i int)) {
-	if n == 0 {
-		return
-	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
+	w := min(e.workers, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
+	chunk := max(1, n/(8*w))
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
+	run := func(worker int) {
+		for {
+			end := int(next.Add(int64(chunk)))
+			start := end - chunk
+			if start >= n {
+				return
+			}
+			for i := start; i < min(end, n); i++ {
 				fn(worker, i)
 			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go func(worker int) {
+			defer wg.Done()
+			run(worker)
 		}(k)
 	}
+	run(0)
 	wg.Wait()
 }
 
@@ -302,6 +312,11 @@ func (e *shardedEngine) stepPhase(t int) {
 				e.consumeLocal(sh, li)
 			}
 		}
+		// Canonical mailbox order: shard-local index ascending,
+		// independent of the shuffled arrival order. Each shard sorts its
+		// own mailboxes here so the barrier's serial drain only copies.
+		slices.Sort(sh.triggers)
+		slices.Sort(sh.settles)
 	})
 }
 
@@ -324,12 +339,11 @@ func (e *shardedEngine) resolveTriggers(t int) {
 		if len(sh.triggers) == 0 {
 			continue
 		}
-		// Canonical initiator order: (shard, local index), independent of
-		// the shuffled arrival order. A processor that triggered on both
-		// its generate and its consume appears twice; the execution-time
+		// Canonical initiator order: (shard, local index); the step phase
+		// sorted each mailbox. A processor that triggered on both its
+		// generate and its consume appears twice; the execution-time
 		// re-check makes the duplicate a no-op when the first operation
 		// already balanced it.
-		sort.Ints(sh.triggers)
 		for _, li := range sh.triggers {
 			e.ops = append(e.ops, sh.lane.Global(li))
 		}
@@ -339,41 +353,54 @@ func (e *shardedEngine) resolveTriggers(t int) {
 	if K == 0 {
 		return
 	}
-	maxWave := e.planWaves(t, K)
+	e.drawPartners(t, K)
+	maxWave := e.planWaves(K)
 	e.bucketByWave(K, maxWave)
 	for w := 1; w <= maxWave; w++ {
 		waveOps := e.opOrder[e.waveStart[w-1]:e.waveStart[w]]
 		e.parallelFor(len(waveOps), func(worker, i int) {
-			e.execOp(worker, t, waveOps[i])
+			e.execOp(worker, waveOps[i])
 		})
 	}
 }
 
-// planWaves pre-draws every operation's partner set from its private
-// stream and assigns operations to waves by greedy list scheduling: an
-// operation lands one wave after the latest earlier operation it shares a
-// participant with. Within a wave all participant sets are pairwise
-// disjoint. The partner values are discarded after planning — execution
-// re-derives the same stream and re-draws identical partners — so only a
-// single δ-wide scratch is needed. Returns the number of waves.
-func (e *shardedEngine) planWaves(t, K int) int {
+// drawPartners seeds every operation's private stream and draws its
+// partners from it, in parallel: each operation writes only its own
+// stream and partner slots. Buffers grow with the operation count and are
+// reused across ticks, so a steady-state barrier allocates nothing.
+func (e *shardedEngine) drawPartners(t, K int) {
+	d := e.delta
+	e.opRNG = slices.Grow(e.opRNG[:0], K)[:K]
+	e.opPartners = slices.Grow(e.opPartners[:0], K)[:K]
+	e.partnerBuf = slices.Grow(e.partnerBuf[:0], K*d)[:K*d]
+	e.parallelFor(K, func(_, k int) {
+		r := &e.opRNG[k]
+		r.Reseed(e.part.OpSeed(uint64(t), uint64(k)))
+		e.opPartners[k] = e.sys.SelectPartners(e.ops[k], r, e.partnerBuf[k*d:k*d:k*d+d])
+	})
+}
+
+// planWaves assigns operations to waves by greedy list scheduling over the
+// drawn partner sets: an operation lands one wave after the latest earlier
+// operation it shares a participant with. Within a wave all participant
+// sets are pairwise disjoint. Returns the number of waves.
+func (e *shardedEngine) planWaves(K int) int {
 	if cap(e.opWave) < K {
 		e.opWave = make([]int32, K)
 	}
 	e.opWave = e.opWave[:K]
 	maxWave := int32(0)
 	for k, init := range e.ops {
-		r := e.part.OpStream(uint64(t), uint64(k))
-		e.planBuf = e.sys.SelectPartners(init, r, e.planBuf)
+		partners := e.opPartners[k]
 		w := e.lastWave[init]
-		for _, p := range e.planBuf {
+		for _, p := range partners {
 			if e.lastWave[p] > w {
 				w = e.lastWave[p]
 			}
 		}
 		w++
 		e.stamp(init, w)
-		for _, p := range e.planBuf {
+		for _, p := range partners {
 			e.stamp(p, w)
 		}
 		e.opWave[k] = w
@@ -428,11 +455,10 @@ func (e *shardedEngine) bucketByWave(K, maxWave int) {
 	}
 }
 
-// execOp executes deferred operation k of tick t on the given worker. The
-// operation's stream is re-derived from its (tick, rank) key and the
-// partners re-drawn from it — identical values to the planning pass — so
-// the redistribution continues the same private stream.
-func (e *shardedEngine) execOp(worker, t, k int) {
+// execOp executes deferred operation k on the given worker with the
+// partners the plan pass drew; the redistribution continues the
+// operation's private stream where the partner draws left it.
+func (e *shardedEngine) execOp(worker, k int) {
 	init := e.ops[k]
 	// Re-check the factor-f condition: an earlier wave (or an earlier
 	// operation in canonical order that shared this initiator) may have
@@ -442,10 +468,7 @@ func (e *shardedEngine) execOp(worker, t, k int) {
 	if !e.sys.TriggerPending(init) {
 		return
 	}
-	r := e.part.OpStream(uint64(t), uint64(k))
-	buf := e.sys.SelectPartners(init, r, e.partnerBuf[worker][:0])
-	e.partnerBuf[worker] = buf
-	e.sys.BalanceWithPartners(init, buf, r, e.scratches[worker], &e.workerMet[worker])
+	e.sys.BalanceWithPartners(init, e.opPartners[k], &e.opRNG[k], e.scratches[worker], &e.workerMet[worker])
 }
 
 // resolveSettles completes the consumes deferred for marker settlement,
@@ -453,18 +476,11 @@ func (e *shardedEngine) execOp(worker, t, k int) {
 // cascade (class recovery, further balancing operations on arbitrary
 // processors), which is why it stays serial.
 func (e *shardedEngine) resolveSettles(t int) {
-	var r *rng.RNG
+	e.settleRNG.Reseed(e.part.Seed(rng.StreamSettle, uint64(t)))
 	for s := range e.shards {
 		sh := &e.shards[s]
-		if len(sh.settles) == 0 {
-			continue
-		}
-		sort.Ints(sh.settles)
-		if r == nil {
-			r = e.part.Stream(rng.StreamSettle, uint64(t))
-		}
 		for _, li := range sh.settles {
-			e.sys.SettleConsume(sh.lane.Global(li), r)
+			e.sys.SettleConsume(sh.lane.Global(li), &e.settleRNG)
 		}
 		sh.settles = sh.settles[:0]
 	}
@@ -477,7 +493,10 @@ func (e *shardedEngine) scanLoads() stats.LoadPartial {
 	e.parallelFor(len(e.shards), func(_, s int) {
 		p := &e.partials[s]
 		*p = stats.LoadPartial{}
-		p.ObserveSlice(e.shards[s].lane.Loads())
+		lane := e.shards[s].lane
+		for li := 0; li < lane.Len(); li++ {
+			p.Observe(lane.Load(li))
+		}
 	})
 	e.reduceBuf = append(e.reduceBuf[:0], e.partials...)
 	return stats.ReduceLoadPartials(e.reduceBuf)

@@ -6,12 +6,19 @@ import (
 	"lmbalance/internal/rng"
 )
 
+// observeAll folds every load into p, as a shard's scan does.
+func observeAll(p *LoadPartial, loads []int) {
+	for _, v := range loads {
+		p.Observe(v)
+	}
+}
+
 func TestLoadPartialBasic(t *testing.T) {
 	var p LoadPartial
 	if p.Mean() != 0 {
 		t.Fatal("empty partial mean should be 0")
 	}
-	p.ObserveSlice([]int{3, -1, 4, 1, 5})
+	observeAll(&p, []int{3, -1, 4, 1, 5})
 	if p.Sum != 12 || p.Min != -1 || p.Max != 5 || p.Count != 5 {
 		t.Fatalf("partial = %+v", p)
 	}
@@ -22,7 +29,7 @@ func TestLoadPartialBasic(t *testing.T) {
 
 func TestLoadPartialMergeIdentity(t *testing.T) {
 	var a, b LoadPartial
-	b.ObserveSlice([]int{2, 7})
+	observeAll(&b, []int{2, 7})
 	a.Merge(LoadPartial{}) // empty right identity
 	if a.Count != 0 {
 		t.Fatal("merging empty into empty changed state")
@@ -47,7 +54,7 @@ func TestLoadPartialMergeOrderIndependence(t *testing.T) {
 		loads[i] = r.Intn(100) - 20
 	}
 	var direct LoadPartial
-	direct.ObserveSlice(loads)
+	observeAll(&direct, loads)
 
 	for trial := 0; trial < 50; trial++ {
 		// Random partition into 1..16 contiguous shards.
@@ -61,7 +68,7 @@ func TestLoadPartialMergeOrderIndependence(t *testing.T) {
 		parts := make([]LoadPartial, 0, nShards)
 		for s := 0; s+1 < len(cuts); s++ {
 			var p LoadPartial
-			p.ObserveSlice(loads[cuts[s]:cuts[s+1]])
+			observeAll(&p, loads[cuts[s]:cuts[s+1]])
 			parts = append(parts, p)
 		}
 		// Shuffle the partials: merge order must not matter.
